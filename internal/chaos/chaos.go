@@ -13,9 +13,12 @@
 // The differential oracle (internal/oracle) is the consumer: it runs the
 // same job with and without a schedule armed and diffs the results.
 //
-// A Schedule arms through public hooks only — dfs.Cluster.SetTransientFault
-// for faults, sim.Gate.SetDelayHook for latency events, sim.Gate.Hold for
-// queue squeezes — so production code paths are exercised unmodified.
+// A Schedule arms through public hooks only, on the storage path every
+// access takes: dfs.Cluster.SetTransientFault arms faults in the sim node
+// owning the partition, and that node's gate (dfs.Cluster.NodeGate) takes
+// latency events (sim.Gate.SetDelayHook) and queue squeezes
+// (sim.Gate.Hold). Clusters over other transports reject faults; wrap
+// their transports instead (WrapTransport).
 package chaos
 
 import (

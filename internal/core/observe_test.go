@@ -85,6 +85,17 @@ func TestTimelineCapturedByDefault(t *testing.T) {
 	if segs := trace.CriticalPath(tr.Events, 3); len(segs) == 0 {
 		t.Error("critical path empty on a non-trivial job")
 	}
+	// Only a transport that crosses a wire (the nodenet client) marks rpc
+	// intervals, so a sim cluster's timeline has none and its critical
+	// path names no rpc phase. The net oracle arm checks the other side.
+	if kinds[trace.EvRPC] != 0 {
+		t.Errorf("sim-cluster job recorded %d rpc events, want 0", kinds[trace.EvRPC])
+	}
+	for _, seg := range trace.CriticalPath(tr.Events, 64) {
+		if seg.Phase == "rpc" {
+			t.Errorf("sim-cluster critical path has an rpc segment: %+v", seg)
+		}
+	}
 }
 
 // TestEventCapControls: EventCap < 0 disables capture entirely; a tiny

@@ -2,13 +2,17 @@
 // built for ReDe in place of HDFS (§III-E: "HDFS is not well-optimized for
 // non-scan accesses such as lookups").
 //
-// It simulates a shared-nothing cluster inside one process: a Cluster owns N
-// nodes, every file is split into partitions, and partition i lives on node
-// i mod N. Each node has a sim.Gate that bounds concurrent I/Os and charges
-// modeled latencies, plus metrics.Counters that record every access. Files
-// implement the lake.File / lake.BtreeFile interfaces, so the ReDe engine,
-// the baseline engine, and the structure builder all run against the same
-// storage.
+// A Cluster is the front end of a shared-nothing cluster: it owns the file
+// catalog and N nodes; every file is split into partitions, and partition i
+// lives on node i mod N. Every access takes one path: the front end
+// resolves the partition's owner, accounts the access (the node's
+// metrics.Counters and the caller's trace) in one helper, and calls the
+// owner's NodeTransport. NewCluster simulates the nodes in-process — each
+// is a sim node whose partitions' B-trees sit behind a sim.Gate that bounds
+// concurrent I/Os and charges modeled latencies — and
+// NewClusterWithTransports fronts real ones (internal/nodenet). Files
+// implement lake.File / lake.BtreeFile, so the ReDe engine, the baseline
+// engine, and the structure builder all run against the same storage.
 //
 // Records returned by lookups and scans are shared, not copied; callers must
 // treat Record.Data as read-only.
@@ -16,11 +20,11 @@ package dfs
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
 
-	"lakeharbor/internal/btree"
 	"lakeharbor/internal/lake"
 	"lakeharbor/internal/metrics"
 	"lakeharbor/internal/sim"
@@ -54,11 +58,14 @@ type Config struct {
 	Cost sim.CostModel
 }
 
-// Cluster is a simulated shared-nothing storage cluster and file catalog.
+// Cluster is a shared-nothing storage cluster's front end and file catalog.
 type Cluster struct {
 	nodes []*node
 	cost  sim.CostModel
 
+	// ddl serializes CreateFile and DropFile, whose broadcasts to the
+	// nodes run outside mu so catalog reads never wait on a node.
+	ddl   sync.Mutex
 	mu    sync.RWMutex
 	files map[string]*file
 	// version is the catalog version: it starts at 0 and increments on
@@ -69,11 +76,14 @@ type Cluster struct {
 
 	listenerMu sync.RWMutex
 	listeners  []AppendListener
+}
 
-	// remote marks a cluster built over external node transports
-	// (NewClusterWithTransports): catalog mutations broadcast to the
-	// transports and data operations never touch the local partition trees.
-	remote bool
+// node is the front end's view of one storage node: the transport that
+// serves its partitions and the counters its accesses are charged to.
+type node struct {
+	id        int
+	counters  metrics.Counters
+	transport NodeTransport
 }
 
 // CatalogEvent describes one catalog mutation: the version it produced and
@@ -107,8 +117,9 @@ func (c *Cluster) CatalogVersion() uint64 {
 
 // AppendListener observes every record appended to any file; the structure
 // maintainer uses it to keep built indexes in sync with new data. Listeners
-// run synchronously on the appending goroutine — under the appended
-// partition's write lock (see notifyAppend) — and must not block for long.
+// run synchronously on the appending goroutine — on a sim node under the
+// appended partition's write lock (see notifyAppend) — and must not block
+// for long.
 type AppendListener func(file string, partition int, rec lake.Record)
 
 // AddAppendListener registers a listener for all future appends.
@@ -118,7 +129,7 @@ func (c *Cluster) AddAppendListener(fn AppendListener) {
 	c.listeners = append(c.listeners, fn)
 }
 
-// notifyAppend fans an append out to the listeners. It is called by Append
+// notifyAppend fans an append out to the listeners. A sim node calls it
 // while the appended partition's write lock is still held, so for any one
 // partition the pair (insert, notify) is atomic with respect to a scan's
 // read lock: a listener has either been told about a record before a scan
@@ -136,25 +147,14 @@ func (c *Cluster) notifyAppend(file string, partition int, recs []lake.Record) {
 	}
 }
 
-type node struct {
-	id       int
-	gate     *sim.Gate
-	counters metrics.Counters
-	// transport, when non-nil, serves this node's data operations instead
-	// of the in-process sim path (see transport.go). The sim keeps a nil
-	// transport so its historical code path is byte-for-byte unchanged.
-	transport NodeTransport
-}
-
-// NewCluster creates a cluster with cfg.Nodes nodes (minimum 1).
+// NewCluster creates a simulated cluster of cfg.Nodes (minimum 1) sim
+// nodes, each with its own gate over cfg.Cost.
 func NewCluster(cfg Config) *Cluster {
-	n := cfg.Nodes
-	if n < 1 {
-		n = 1
-	}
+	n := max(cfg.Nodes, 1)
 	c := &Cluster{cost: cfg.Cost, files: make(map[string]*file)}
 	for i := 0; i < n; i++ {
-		c.nodes = append(c.nodes, &node{id: i, gate: sim.NewGate(cfg.Cost)})
+		sn := &simNode{id: i, nodes: n, gate: sim.NewGate(cfg.Cost), notify: c.notifyAppend}
+		c.nodes = append(c.nodes, &node{id: i, transport: sn})
 	}
 	return c
 }
@@ -165,9 +165,6 @@ func (c *Cluster) NumNodes() int { return len(c.nodes) }
 // Cost returns the cluster's cost model.
 func (c *Cluster) Cost() sim.CostModel { return c.cost }
 
-// NodeCounters returns node i's counters for inspection.
-func (c *Cluster) NodeCounters(i int) *metrics.Counters { return &c.nodes[i].counters }
-
 // TotalMetrics aggregates a snapshot across all nodes.
 func (c *Cluster) TotalMetrics() metrics.Snapshot {
 	var s metrics.Snapshot
@@ -177,8 +174,9 @@ func (c *Cluster) TotalMetrics() metrics.Snapshot {
 	return s
 }
 
-// CreateFile registers a new empty file. Partition i is placed on node
-// i mod NumNodes, matching the paper's round-robin distribution.
+// CreateFile registers a new empty file on every node. Partition i is
+// placed on node i mod NumNodes, matching the paper's round-robin
+// distribution.
 func (c *Cluster) CreateFile(name string, kind Kind, partitions int, p lake.Partitioner) (lake.File, error) {
 	if partitions < 1 {
 		return nil, fmt.Errorf("dfs: file %q: partitions must be >= 1, got %d", name, partitions)
@@ -186,28 +184,26 @@ func (c *Cluster) CreateFile(name string, kind Kind, partitions int, p lake.Part
 	if p == nil {
 		return nil, fmt.Errorf("dfs: file %q: nil partitioner", name)
 	}
-	if c.remote {
-		c.mu.RLock()
-		_, exists := c.files[name]
-		c.mu.RUnlock()
-		if exists {
-			return nil, fmt.Errorf("dfs: file %q already exists", name)
-		}
-		// Broadcast before registering locally, so a transport failure
-		// leaves the catalog untouched.
-		if err := c.remoteCreate(name, kind, partitions, p); err != nil {
-			return nil, err
-		}
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.files[name]; ok {
+	c.ddl.Lock()
+	defer c.ddl.Unlock()
+	if _, err := c.file(name); err == nil {
 		return nil, fmt.Errorf("dfs: file %q already exists", name)
 	}
-	f := &file{cluster: c, name: name, kind: kind, partitioner: p}
-	for i := 0; i < partitions; i++ {
-		f.parts = append(f.parts, &partition{tree: btree.New()})
+	// Create on the nodes before registering, rolling back the ones that
+	// succeeded, so a node failure leaves the catalog untouched.
+	ctx := context.Background()
+	ts := c.distinctTransports()
+	for i, t := range ts {
+		if err := t.CreateFile(ctx, name, kind, partitions, p); err != nil {
+			for _, done := range ts[:i] {
+				done.DropFile(ctx, name) //nolint:errcheck // best-effort rollback
+			}
+			return nil, fmt.Errorf("dfs: create %q on node transport: %w", name, err)
+		}
 	}
+	f := &file{cluster: c, name: name, kind: kind, partitioner: p, partitions: partitions}
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.files[name] = f
 	c.version++
 	if c.catalogHook != nil {
@@ -219,10 +215,13 @@ func (c *Cluster) CreateFile(name string, kind Kind, partitions int, p lake.Part
 	return f, nil
 }
 
-// DropFile removes a file from the catalog (used by tests and by the
-// structure builder when replacing an index). Dropping a file that does not
-// exist is a no-op and does not bump the catalog version.
+// DropFile removes a file from the catalog and its data from the nodes
+// (used by tests and by the structure builder when replacing an index).
+// Dropping a file that does not exist is a no-op and does not bump the
+// catalog version.
 func (c *Cluster) DropFile(name string) {
+	c.ddl.Lock()
+	defer c.ddl.Unlock()
 	c.mu.Lock()
 	if _, ok := c.files[name]; !ok {
 		c.mu.Unlock()
@@ -234,13 +233,15 @@ func (c *Cluster) DropFile(name string) {
 		c.catalogHook(CatalogEvent{Version: c.version, Drop: true, Name: name})
 	}
 	c.mu.Unlock()
-	if c.remote {
-		c.remoteDrop(name)
+	// Drops are best-effort: the catalog is authoritative, and a node that
+	// missed the drop only holds dead data.
+	for _, t := range c.distinctTransports() {
+		t.DropFile(context.Background(), name) //nolint:errcheck
 	}
 }
 
-// File implements lake.Catalog.
-func (c *Cluster) File(name string) (lake.File, error) {
+// file returns the named catalog entry.
+func (c *Cluster) file(name string) (*file, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	f, ok := c.files[name]
@@ -250,17 +251,25 @@ func (c *Cluster) File(name string) (lake.File, error) {
 	return f, nil
 }
 
-// BtreeFile returns the named file if it supports range lookups.
-func (c *Cluster) BtreeFile(name string) (lake.BtreeFile, error) {
-	f, err := c.File(name)
+// File implements lake.Catalog.
+func (c *Cluster) File(name string) (lake.File, error) {
+	f, err := c.file(name)
 	if err != nil {
 		return nil, err
 	}
-	bf, ok := f.(lake.BtreeFile)
-	if !ok || f.(*file).kind != Btree {
+	return f, nil
+}
+
+// BtreeFile returns the named file if it supports range lookups.
+func (c *Cluster) BtreeFile(name string) (lake.BtreeFile, error) {
+	f, err := c.file(name)
+	if err != nil {
+		return nil, err
+	}
+	if f.kind != Btree {
 		return nil, lake.AsPermanent(fmt.Errorf("dfs: file %q is not a btree file", name))
 	}
-	return bf, nil
+	return f, nil
 }
 
 // FileNames returns the catalog contents (for tools and tests).
@@ -277,64 +286,51 @@ func (c *Cluster) FileNames() []string {
 // OwnerNode returns the node hosting the given partition.
 func (c *Cluster) OwnerNode(partition int) int { return partition % len(c.nodes) }
 
-// NodeGate returns node i's I/O gate, or nil when the cluster's cost model
-// is free (a free gate admits everything instantly and has nothing to hook).
-// Chaos injection uses it to install latency overrides and queue squeezes.
+// NodeGate returns sim node i's I/O gate, or nil when the cluster's cost
+// model is free (a free gate admits everything instantly and has nothing to
+// hook) or node i is not a sim node. Chaos injection uses it to install
+// latency overrides and queue squeezes.
 func (c *Cluster) NodeGate(i int) *sim.Gate {
 	if i < 0 || i >= len(c.nodes) {
 		return nil
 	}
-	return c.nodes[i].gate
+	if sn, ok := c.nodes[i].transport.(*simNode); ok {
+		return sn.gate
+	}
+	return nil
 }
 
 // SetFault injects err into every access to the named file's partition
 // (err == nil clears it). It exists for failure-injection tests.
 func (c *Cluster) SetFault(name string, partition int, err error) error {
-	if c.remote {
-		return fmt.Errorf("dfs: fault injection needs the in-process sim; wrap the node transports instead")
-	}
-	c.mu.RLock()
-	f, ok := c.files[name]
-	c.mu.RUnlock()
-	if !ok {
-		return fmt.Errorf("%w: %q", lake.ErrNoSuchFile, name)
-	}
-	if partition < 0 || partition >= len(f.parts) {
-		return fmt.Errorf("%w: %q/%d", lake.ErrNoSuchPartition, name, partition)
-	}
-	p := f.parts[partition]
-	p.faultMu.Lock()
-	p.fault = err
-	p.faultBudget = 0 // permanent until cleared
-	p.faultMu.Unlock()
-	return nil
+	return c.setFault(name, partition, err, 0)
 }
 
-// SetTransientFault injects err into the next `times` accesses to the
+// SetTransientFault injects err into the next `times` key accesses to the
 // partition, after which it heals itself — the shape of a flaky disk or a
 // brief network partition, used by retry tests.
 func (c *Cluster) SetTransientFault(name string, partition int, err error, times int) error {
-	if c.remote {
-		return fmt.Errorf("dfs: fault injection needs the in-process sim; wrap the node transports instead")
-	}
-	c.mu.RLock()
-	f, ok := c.files[name]
-	c.mu.RUnlock()
-	if !ok {
-		return fmt.Errorf("%w: %q", lake.ErrNoSuchFile, name)
-	}
-	if partition < 0 || partition >= len(f.parts) {
-		return fmt.Errorf("%w: %q/%d", lake.ErrNoSuchPartition, name, partition)
-	}
 	if times <= 0 {
 		return fmt.Errorf("dfs: transient fault needs times > 0, got %d", times)
 	}
-	p := f.parts[partition]
-	p.faultMu.Lock()
-	p.fault = err
-	p.faultBudget = times
-	p.faultMu.Unlock()
-	return nil
+	return c.setFault(name, partition, err, times)
+}
+
+// setFault arms a fault on the sim node owning the partition.
+func (c *Cluster) setFault(name string, partition int, err error, budget int) error {
+	f, ferr := c.file(name)
+	if ferr != nil {
+		return ferr
+	}
+	owner, perr := f.owner(partition)
+	if perr != nil {
+		return perr
+	}
+	sn, ok := owner.transport.(*simNode)
+	if !ok {
+		return errors.New("dfs: fault injection needs the in-process sim; wrap the node transports instead")
+	}
+	return sn.setFault(name, partition, err, budget)
 }
 
 // callerKey carries the identity of the node issuing an access, so dfs can
@@ -355,70 +351,22 @@ func CallerNode(ctx context.Context) int {
 	return -1
 }
 
-// file implements lake.BtreeFile on simulated partitions.
+// file implements lake.BtreeFile over the cluster's nodes. It holds only
+// catalog metadata; the partitions live behind the owners' transports,
+// which resolve the file by name on every call.
 type file struct {
 	cluster     *Cluster
 	name        string
 	kind        Kind
 	partitioner lake.Partitioner
-	parts       []*partition
-}
-
-// recordOverheadBytes is the modeled per-record storage overhead (tree node
-// pointers, key headers) added to raw key+value size in a partition's byte
-// accounting. Budgeted structure residency works in these modeled bytes.
-const recordOverheadBytes = 32
-
-type partition struct {
-	mu   sync.RWMutex
-	tree *btree.Tree
-	// bytes is the modeled on-disk size of the partition: sum over records
-	// of len(key)+len(data)+recordOverheadBytes. Guarded by mu.
-	bytes int64
-
-	// Fault-injection state, guarded by its own mutex so read paths do
-	// not need the tree's write lock to consume a transient fault.
-	faultMu sync.Mutex
-	fault   error
-	// faultBudget limits how many accesses the fault affects: a positive
-	// budget decrements per faulted access and the fault clears at zero
-	// (a transient fault); zero or negative means the fault is permanent
-	// until cleared.
-	faultBudget int
-}
-
-// takeFault reports the partition's current fault (if any) and consumes one
-// unit of a transient fault's budget.
-func (p *partition) takeFault() error { return p.takeFaultN(1) }
-
-// takeFaultN is takeFault for a batched access touching n keys: a transient
-// fault's budget is consumed once per key, not once per batch admission, so
-// a batched run heals a fault after the same number of key accesses as an
-// unbatched run of the same job (fault-injection parity across MaxBatch
-// settings). A budget smaller than n is exhausted, not driven negative.
-func (p *partition) takeFaultN(n int) error {
-	p.faultMu.Lock()
-	defer p.faultMu.Unlock()
-	if p.fault == nil || n <= 0 {
-		return nil
-	}
-	err := p.fault
-	if p.faultBudget > 0 {
-		if n >= p.faultBudget {
-			p.faultBudget = 0
-			p.fault = nil
-		} else {
-			p.faultBudget -= n
-		}
-	}
-	return err
+	partitions  int
 }
 
 // Name implements lake.File.
 func (f *file) Name() string { return f.name }
 
 // NumPartitions implements lake.File.
-func (f *file) NumPartitions() int { return len(f.parts) }
+func (f *file) NumPartitions() int { return f.partitions }
 
 // Partitioner implements lake.File.
 func (f *file) Partitioner() lake.Partitioner { return f.partitioner }
@@ -426,176 +374,104 @@ func (f *file) Partitioner() lake.Partitioner { return f.partitioner }
 // Kind returns whether the file is a heap or btree file.
 func (f *file) Kind() Kind { return f.kind }
 
-func (f *file) part(i int) (*partition, *node, error) {
-	if i < 0 || i >= len(f.parts) {
-		return nil, nil, fmt.Errorf("%w: %q/%d", lake.ErrNoSuchPartition, f.name, i)
+// owner returns the node hosting partition i.
+func (f *file) owner(i int) (*node, error) {
+	if i < 0 || i >= f.partitions {
+		return nil, fmt.Errorf("%w: %q/%d", lake.ErrNoSuchPartition, f.name, i)
 	}
-	return f.parts[i], f.cluster.nodes[f.cluster.OwnerNode(i)], nil
+	return f.cluster.nodes[f.cluster.OwnerNode(i)], nil
 }
 
-// admit charges the owner node for one access and updates remote-fetch
-// accounting. kindScan selects scan vs lookup pricing; n is the record count
-// for scans. When the caller's context carries an execution trace (queries
-// run through the SMPE executor), the access is also attributed to the
-// calling node's trace as local or remote I/O, and the observed round-trip
-// time — gate queueing plus the cost model's simulated service latency — is
-// recorded into the trace's I/O latency histograms.
-func (f *file) admit(ctx context.Context, owner *node, scan bool, n int) error {
-	remote := false
-	if caller := CallerNode(ctx); caller >= 0 && caller != owner.id {
-		remote = true
-		owner.counters.AddRemoteFetch()
-	}
-	io := trace.IOFrom(ctx)
-	if io != nil {
-		io.Observe(remote)
-	}
-	var t0 time.Time
-	if io != nil {
-		t0 = time.Now()
-	}
-	var err error
-	if scan {
-		err = owner.gate.Scan(ctx, n, remote)
-	} else {
-		owner.counters.AddLookup()
-		err = owner.gate.Lookup(ctx, remote)
-	}
-	if err == nil && io != nil {
-		io.ObserveLatency(remote, time.Since(t0))
-	}
-	return err
+// access is one read of a partition, accounted the same way whichever
+// transport serves it.
+type access struct {
+	owner *node
+	io    *trace.NodeIO
+	cross bool
+	t0    time.Time
 }
 
-// LookupBatch implements lake.BatchFile: the whole batch is served under
-// ONE gate admission — the cost model charges full latency for the first
-// key and the marginal BatchPerKey for every key after it (seek
-// amortization) — and, when the caller is remote, the batch is priced as a
-// single network message. I/O attribution mirrors that (one local/remote
-// observation), but a transient fault's heal budget is consumed per KEY —
-// the batch stands in for len(keys) point lookups, so batched and unbatched
-// runs of the same job consume an injected fault identically.
-func (f *file) LookupBatch(ctx context.Context, partitionIdx int, keys []lake.Key) ([][]lake.Record, error) {
-	if len(keys) == 0 {
-		return nil, nil
-	}
-	p, owner, err := f.part(partitionIdx)
+// begin resolves partition i's owner and opens a read of it: a cross-node
+// caller counts a remote fetch, and a traced caller (queries run through
+// the SMPE executor) observes the access as local or remote I/O on its
+// node's trace.
+func (f *file) begin(ctx context.Context, i int) (access, error) {
+	owner, err := f.owner(i)
 	if err != nil {
-		return nil, err
+		return access{}, err
 	}
-	if owner.transport != nil {
-		var out [][]lake.Record
-		owner.counters.AddBatchLookup(len(keys))
-		err := transportCall(ctx, owner, func() error {
-			var terr error
-			out, terr = owner.transport.LookupBatch(ctx, f.name, partitionIdx, keys)
-			return terr
-		})
-		if err != nil {
-			return nil, err
-		}
-		read, bytes := 0, 0
-		for _, recs := range out {
-			read += len(recs)
-			for _, r := range recs {
-				bytes += len(r.Data)
-			}
-		}
-		owner.counters.AddRecordsRead(read)
-		owner.counters.AddBytesRead(bytes)
-		return out, nil
-	}
-	remote := false
+	a := access{owner: owner, io: trace.IOFrom(ctx)}
 	if caller := CallerNode(ctx); caller >= 0 && caller != owner.id {
-		remote = true
+		a.cross = true
 		owner.counters.AddRemoteFetch()
 	}
-	io := trace.IOFrom(ctx)
-	if io != nil {
-		io.Observe(remote)
+	if a.io != nil {
+		a.io.Observe(a.cross)
+		a.t0 = time.Now()
 	}
-	owner.counters.AddBatchLookup(len(keys))
-	var t0 time.Time
-	if io != nil {
-		t0 = time.Now()
+	return a, nil
+}
+
+// observe records the round-trip time since begin — gate queueing and
+// modeled service on a sim node, the wire round trip over nodenet — in the
+// caller's I/O latency histograms.
+func (a access) observe() {
+	if a.io != nil {
+		a.io.ObserveLatency(a.cross, time.Since(a.t0))
 	}
-	if err := owner.gate.LookupBatch(ctx, len(keys), remote); err != nil {
-		return nil, err
+}
+
+// read closes a lookup: on success it observes the latency and counts the
+// records and payload bytes delivered.
+func (a access) read(err error, groups ...[]lake.Record) error {
+	if err != nil {
+		return err
 	}
-	if io != nil {
-		io.ObserveLatency(remote, time.Since(t0))
-	}
-	if err := p.takeFaultN(len(keys)); err != nil {
-		return nil, fmt.Errorf("dfs: %q/%d: %w", f.name, partitionIdx, err)
-	}
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	groups := p.tree.GetBatch(keys)
-	out := make([][]lake.Record, len(keys))
-	read, bytes := 0, 0
-	for i, vals := range groups {
-		if len(vals) == 0 {
-			continue
+	a.observe()
+	n, bytes := 0, 0
+	for _, recs := range groups {
+		n += len(recs)
+		for _, r := range recs {
+			bytes += len(r.Data)
 		}
-		recs := make([]lake.Record, len(vals))
-		for j, v := range vals {
-			recs[j] = lake.Record{Key: keys[i], Data: v}
-			bytes += len(v)
-		}
-		out[i] = recs
-		read += len(recs)
 	}
-	owner.counters.AddRecordsRead(read)
-	owner.counters.AddBytesRead(bytes)
-	return out, nil
+	a.owner.counters.AddRecordsRead(n)
+	a.owner.counters.AddBytesRead(bytes)
+	return nil
 }
 
 // Lookup implements lake.File.
 func (f *file) Lookup(ctx context.Context, partitionIdx int, key lake.Key) ([]lake.Record, error) {
-	p, owner, err := f.part(partitionIdx)
+	a, err := f.begin(ctx, partitionIdx)
 	if err != nil {
 		return nil, err
 	}
-	if owner.transport != nil {
-		var recs []lake.Record
-		owner.counters.AddLookup()
-		err := transportCall(ctx, owner, func() error {
-			var terr error
-			recs, terr = owner.transport.Lookup(ctx, f.name, partitionIdx, key)
-			return terr
-		})
-		if err != nil {
-			return nil, err
-		}
-		bytes := 0
-		for _, r := range recs {
-			bytes += len(r.Data)
-		}
-		owner.counters.AddRecordsRead(len(recs))
-		owner.counters.AddBytesRead(bytes)
-		return recs, nil
-	}
-	if err := f.admit(ctx, owner, false, 1); err != nil {
+	a.owner.counters.AddLookup()
+	recs, err := a.owner.transport.Lookup(ctx, f.name, partitionIdx, key)
+	if err = a.read(err, recs); err != nil {
 		return nil, err
 	}
-	if err := p.takeFault(); err != nil {
-		return nil, fmt.Errorf("dfs: %q/%d: %w", f.name, partitionIdx, err)
-	}
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	vals := p.tree.Get(key)
-	if len(vals) == 0 {
+	return recs, nil
+}
+
+// LookupBatch implements lake.BatchFile: the whole batch is one storage
+// call — one admission on a sim node, one round trip over nodenet — so it
+// counts as one lookup (and, from a remote caller, one remote fetch), with
+// its keys tallied separately.
+func (f *file) LookupBatch(ctx context.Context, partitionIdx int, keys []lake.Key) ([][]lake.Record, error) {
+	if len(keys) == 0 {
 		return nil, nil
 	}
-	recs := make([]lake.Record, len(vals))
-	bytes := 0
-	for i, v := range vals {
-		recs[i] = lake.Record{Key: key, Data: v}
-		bytes += len(v)
+	a, err := f.begin(ctx, partitionIdx)
+	if err != nil {
+		return nil, err
 	}
-	owner.counters.AddRecordsRead(len(recs))
-	owner.counters.AddBytesRead(bytes)
-	return recs, nil
+	a.owner.counters.AddBatchLookup(len(keys))
+	out, err := a.owner.transport.LookupBatch(ctx, f.name, partitionIdx, keys)
+	if err = a.read(err, out...); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // LookupRange implements lake.BtreeFile. It returns every record with
@@ -604,188 +480,85 @@ func (f *file) LookupRange(ctx context.Context, partitionIdx int, lo, hi lake.Ke
 	if f.kind != Btree {
 		return nil, lake.AsPermanent(fmt.Errorf("dfs: file %q is not a btree file", f.name))
 	}
-	p, owner, err := f.part(partitionIdx)
+	a, err := f.begin(ctx, partitionIdx)
 	if err != nil {
 		return nil, err
 	}
-	if owner.transport != nil {
-		var recs []lake.Record
-		owner.counters.AddLookup()
-		err := transportCall(ctx, owner, func() error {
-			var terr error
-			recs, terr = owner.transport.LookupRange(ctx, f.name, partitionIdx, lo, hi)
-			return terr
-		})
-		if err != nil {
-			return nil, err
-		}
-		bytes := 0
-		for _, r := range recs {
-			bytes += len(r.Data)
-		}
-		owner.counters.AddRecordsRead(len(recs))
-		owner.counters.AddBytesRead(bytes)
-		return recs, nil
-	}
-	if err := f.admit(ctx, owner, false, 1); err != nil {
+	a.owner.counters.AddLookup()
+	recs, err := a.owner.transport.LookupRange(ctx, f.name, partitionIdx, lo, hi)
+	if err = a.read(err, recs); err != nil {
 		return nil, err
 	}
-	if err := p.takeFault(); err != nil {
-		return nil, fmt.Errorf("dfs: %q/%d: %w", f.name, partitionIdx, err)
-	}
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	var recs []lake.Record
-	bytes := 0
-	p.tree.Ascend(lo, hi, func(k string, v []byte) bool {
-		recs = append(recs, lake.Record{Key: k, Data: v})
-		bytes += len(v)
-		return true
-	})
-	owner.counters.AddRecordsRead(len(recs))
-	owner.counters.AddBytesRead(bytes)
 	return recs, nil
 }
 
-// Scan implements lake.File. The whole partition's scan cost is charged
-// up front as one streaming I/O, then records are delivered in key order.
+// Scan implements lake.File: records are delivered in key order.
 func (f *file) Scan(ctx context.Context, partitionIdx int, fn func(lake.Record) error) error {
-	p, owner, err := f.part(partitionIdx)
+	return f.ScanWithBarrier(ctx, partitionIdx, nil, fn)
+}
+
+// ScanWithBarrier is Scan with one extra guarantee on a lockingNode:
+// barrier is invoked after the partition's read lock is acquired and before
+// the first record is delivered. An append's (insert, notify) pair is
+// atomic under the same lock, so everything notified before barrier runs is
+// visible to this scan, and everything notified after it is not. The
+// structure builder uses the barrier to flip a partition's maintenance from
+// "buffered" to "live" at exactly the point where responsibility for new
+// records changes hands. Over any other transport it degrades to
+// barrier-then-scan, as lake.ScanWithBarrier does for files without
+// barriers; a nil barrier makes it a plain Scan. The latency it observes is
+// the time to the first record (or to the end of an empty scan), so a slow
+// consumer does not count as storage time.
+func (f *file) ScanWithBarrier(ctx context.Context, partitionIdx int, barrier func(), fn func(lake.Record) error) error {
+	a, err := f.begin(ctx, partitionIdx)
 	if err != nil {
 		return err
 	}
-	if owner.transport != nil {
-		scanned, bytes := 0, 0
-		err := transportCall(ctx, owner, func() error {
-			return owner.transport.Scan(ctx, f.name, partitionIdx, func(r lake.Record) error {
-				scanned++
-				bytes += len(r.Data)
-				return fn(r)
-			})
-		})
-		owner.counters.AddRecordsScanned(scanned)
-		owner.counters.AddBytesRead(bytes)
-		return err
-	}
-	if err := p.takeFault(); err != nil {
-		return fmt.Errorf("dfs: %q/%d: %w", f.name, partitionIdx, err)
-	}
-	p.mu.RLock()
-	n := p.tree.Len()
-	p.mu.RUnlock()
-	if err := f.admit(ctx, owner, true, n); err != nil {
-		return err
-	}
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return f.scanLocked(ctx, p, owner, fn)
-}
-
-// scanLocked iterates a partition's records in key order. The caller holds
-// the partition's read lock.
-func (f *file) scanLocked(ctx context.Context, p *partition, owner *node, fn func(lake.Record) error) error {
-	var scanErr error
-	scanned := 0
-	bytes := 0
-	p.tree.AscendAll(func(k string, v []byte) bool {
-		if err := ctx.Err(); err != nil {
-			scanErr = err
-			return false
+	scanned, bytes := 0, 0
+	count := func(r lake.Record) error {
+		if scanned == 0 {
+			a.observe()
 		}
 		scanned++
-		bytes += len(v)
-		if err := fn(lake.Record{Key: k, Data: v}); err != nil {
-			scanErr = err
-			return false
+		bytes += len(r.Data)
+		return fn(r)
+	}
+	if ln, ok := a.owner.transport.(lockingNode); ok && barrier != nil {
+		err = ln.ScanWithBarrier(ctx, f.name, partitionIdx, barrier, count)
+	} else {
+		if barrier != nil {
+			barrier()
 		}
-		return true
-	})
-	owner.counters.AddRecordsScanned(scanned)
-	owner.counters.AddBytesRead(bytes)
-	return scanErr
+		err = a.owner.transport.Scan(ctx, f.name, partitionIdx, count)
+	}
+	if scanned == 0 && err == nil {
+		a.observe()
+	}
+	a.owner.counters.AddRecordsScanned(scanned)
+	a.owner.counters.AddBytesRead(bytes)
+	return err
 }
 
-// Append implements lake.File. Loading is not part of the measured
-// experiments, so it is charged no simulated I/O cost.
+// Append implements lake.File.
 func (f *file) Append(ctx context.Context, partitionIdx int, recs ...lake.Record) error {
-	p, owner, err := f.part(partitionIdx)
+	owner, err := f.owner(partitionIdx)
 	if err != nil {
 		return err
 	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if owner.transport != nil {
-		if err := owner.transport.Append(ctx, f.name, partitionIdx, recs); err != nil {
-			return err
-		}
-		// Listeners fire after the remote insert, NOT under a partition
-		// lock: over a real transport the (insert, notify) pair is no
-		// longer atomic with respect to scans, which is why exactly-once
-		// online builds require the in-process transport (see
-		// ScanWithBarrier).
+	if err := owner.transport.Append(ctx, f.name, partitionIdx, recs); err != nil {
+		return err
+	}
+	if _, ok := owner.transport.(lockingNode); !ok {
+		// A lockingNode notified under its partition lock. Any other
+		// transport inserted remotely, so listeners hear of the append
+		// only now, outside any lock (see lockingNode).
 		f.cluster.notifyAppend(f.name, partitionIdx, recs)
-		owner.counters.AddAppend(len(recs))
-		return nil
 	}
-	if err := p.takeFault(); err != nil {
-		return fmt.Errorf("dfs: %q/%d: %w", f.name, partitionIdx, err)
-	}
-	p.mu.Lock()
-	for _, r := range recs {
-		p.tree.Insert(r.Key, r.Data)
-		p.bytes += int64(len(r.Key) + len(r.Data) + recordOverheadBytes)
-	}
-	// Notify under the partition lock: listeners observe appends in the
-	// same order scans do (see notifyAppend). Listeners write to OTHER
-	// files' partitions only, so lock order is always base → index and
-	// cannot cycle.
-	f.cluster.notifyAppend(f.name, partitionIdx, recs)
-	p.mu.Unlock()
 	owner.counters.AddAppend(len(recs))
 	return nil
-}
-
-// ScanWithBarrier is Scan with one extra guarantee: barrier is invoked
-// after the partition's read lock is acquired and before the first record
-// is delivered. An append's (insert, notify) pair is atomic under the same
-// lock, so everything notified before barrier runs is visible to this scan,
-// and everything notified after it is not. The structure builder uses the
-// barrier to flip a partition's maintenance from "buffered" to "live" at
-// exactly the point where responsibility for new records changes hands.
-func (f *file) ScanWithBarrier(ctx context.Context, partitionIdx int, barrier func(), fn func(lake.Record) error) error {
-	p, owner, err := f.part(partitionIdx)
-	if err != nil {
-		return err
-	}
-	if owner.transport != nil {
-		// Degraded mode: over a real transport there is no shared partition
-		// lock to make (barrier, first record) atomic with appends, so this
-		// is barrier-then-scan. Appends racing the scan may be seen by both
-		// the barrier-side listener and the scan; exactly-once online builds
-		// therefore require the in-process transport.
-		if barrier != nil {
-			barrier()
-		}
-		return f.Scan(ctx, partitionIdx, fn)
-	}
-	if err := p.takeFault(); err != nil {
-		return fmt.Errorf("dfs: %q/%d: %w", f.name, partitionIdx, err)
-	}
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	if barrier != nil {
-		barrier()
-	}
-	// Admission happens under the read lock here (unlike Scan): releasing
-	// it to charge the gate would let appends slip between the barrier and
-	// the iteration, which is exactly the ambiguity the barrier removes.
-	// Builds therefore block concurrent appends to the partition for the
-	// scan's modeled service time.
-	if err := f.admit(ctx, owner, true, p.tree.Len()); err != nil {
-		return err
-	}
-	return f.scanLocked(ctx, p, owner, fn)
 }
 
 // AppendRouted routes each record through the file's partitioner using the
@@ -799,35 +572,21 @@ func AppendRouted(ctx context.Context, f lake.File, partKey lake.Key, rec lake.R
 // Len returns the total number of records across all partitions of the
 // named file (tooling/tests helper).
 func (c *Cluster) Len(name string) (int, error) {
-	c.mu.RLock()
-	f, ok := c.files[name]
-	c.mu.RUnlock()
-	if !ok {
-		return 0, fmt.Errorf("%w: %q", lake.ErrNoSuchFile, name)
+	f, err := c.file(name)
+	if err != nil {
+		return 0, err
 	}
-	if c.remote {
-		recs, _, err := f.remoteTotals()
-		return recs, err
-	}
-	total := 0
-	for _, p := range f.parts {
-		p.mu.RLock()
-		total += p.tree.Len()
-		p.mu.RUnlock()
-	}
-	return total, nil
+	recs, _, err := f.totals()
+	return recs, err
 }
 
-// remoteTotals sums record count and modeled bytes across partitions via
-// each owner's transport Stat.
-func (f *file) remoteTotals() (int, int64, error) {
+// totals sums record count and modeled bytes across partitions via each
+// owner's Stat.
+func (f *file) totals() (int, int64, error) {
 	ctx := context.Background()
 	recs, bytes := 0, int64(0)
-	for i := range f.parts {
-		_, owner, err := f.part(i)
-		if err != nil {
-			return 0, 0, err
-		}
+	for i := 0; i < f.partitions; i++ {
+		owner, _ := f.owner(i)
 		r, b, err := owner.transport.Stat(ctx, f.name, i)
 		if err != nil {
 			return 0, 0, err
@@ -842,31 +601,21 @@ func (f *file) remoteTotals() (int, int64, error) {
 // (sum of per-partition byte accounting). The lifecycle manager charges a
 // structure's residency against Options.StructureBudget with this number.
 func (c *Cluster) FileSizeBytes(name string) (int64, error) {
-	c.mu.RLock()
-	f, ok := c.files[name]
-	c.mu.RUnlock()
-	if !ok {
-		return 0, fmt.Errorf("%w: %q", lake.ErrNoSuchFile, name)
+	f, err := c.file(name)
+	if err != nil {
+		return 0, err
 	}
 	return f.SizeBytes(), nil
 }
 
-// SizeBytes implements lake.SizedFile: the file's total modeled size.
+// SizeBytes implements lake.SizedFile: the file's total modeled size, or 0
+// when a node cannot report it.
 func (f *file) SizeBytes() int64 {
-	if f.cluster.remote {
-		_, bytes, err := f.remoteTotals()
-		if err != nil {
-			return 0
-		}
-		return bytes
+	_, bytes, err := f.totals()
+	if err != nil {
+		return 0
 	}
-	var total int64
-	for _, p := range f.parts {
-		p.mu.RLock()
-		total += p.bytes
-		p.mu.RUnlock()
-	}
-	return total
+	return bytes
 }
 
 // Bind marks ctx as executing on the given node, so subsequent accesses are

@@ -1,28 +1,19 @@
 package dfs
 
-// The node transport seam: every per-node data operation the engines issue
-// (lookups, batched lookups, range reads, scans, appends, size stats) can be
-// routed through a NodeTransport. The in-process sim keeps its historical
-// fast path (a node with a nil transport executes against the local
-// partition structures exactly as before), Local adapts that path to the
-// interface so a networked node server can host it, and a cluster built with
-// NewClusterWithTransports delegates each node's operations to an arbitrary
-// implementation — the real TCP client in internal/nodenet, or a chaos proxy
-// wrapping either.
-
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"lakeharbor/internal/lake"
 	"lakeharbor/internal/trace"
 )
 
-// NodeTransport is the seam between the executor/lake layers and one storage
-// node. Every method addresses a (file, partition) pair whose partition is
-// owned by the node behind the transport; callers resolve ownership first
-// (partition i of every file lives on node i mod NumNodes).
+// NodeTransport is the seam between a Cluster's front end and one storage
+// node: a sim node (NewCluster), the nodenet TCP client, or a chaos proxy
+// wrapping either (NewClusterWithTransports). Every method addresses a
+// (file, partition) pair whose partition is owned by the node behind the
+// transport; callers resolve ownership first (partition i of every file
+// lives on node i mod NumNodes).
 //
 // Implementations must classify failures the way the retry machinery
 // expects: errors that can never heal (unknown file, bad partition index,
@@ -38,8 +29,8 @@ type NodeTransport interface {
 	// Lookup returns the records stored under key in the partition.
 	Lookup(ctx context.Context, file string, partition int, key lake.Key) ([]lake.Record, error)
 	// LookupBatch serves a whole pointer batch in one round trip; out[i]
-	// holds the records for keys[i] (PR 2's batch shape, and the wire unit
-	// of the networked transport).
+	// holds the records for keys[i] (the executor's batch shape, and the
+	// wire unit of the networked transport).
 	LookupBatch(ctx context.Context, file string, partition int, keys []lake.Key) ([][]lake.Record, error)
 	// LookupRange returns every record with lo <= key <= hi, in key order.
 	LookupRange(ctx context.Context, file string, partition int, lo, hi lake.Key) ([]lake.Record, error)
@@ -53,25 +44,35 @@ type NodeTransport interface {
 	Close() error
 }
 
-// localTransport adapts a sim cluster's in-process data path to the
-// NodeTransport interface. It is the storage side of a networked node (the
-// lakenode server executes decoded RPCs against it) and the inner layer
-// chaos transport proxies wrap in tests.
+// lockingNode is the capability of a transport whose partitions live in
+// this process under locks — the sim node. Its Append notifies the
+// cluster's append listeners under the partition's write lock, so each
+// (insert, notify) pair is atomic with respect to scans, and its
+// ScanWithBarrier runs barrier under the read lock before the first record.
+// Over any other transport both pairs degrade: listeners hear of an append
+// after the remote insert, and a barrier scan is barrier-then-scan. Appends
+// racing such a scan may be seen by both the barrier-side listener and the
+// scan, so exactly-once online structure builds need a lockingNode.
+type lockingNode interface {
+	ScanWithBarrier(ctx context.Context, file string, partition int, barrier func(), fn func(lake.Record) error) error
+}
+
 type localTransport struct{ c *Cluster }
 
-// Local returns the in-process NodeTransport over the cluster: operations
-// execute directly against the cluster's partitions, with the same gate
-// admission, counters, and fault injection as direct file-method calls.
+// Local returns the NodeTransport over the cluster — the inverse of a sim
+// node, and the storage side of a networked node (the lakenode server
+// executes decoded RPCs against it). Operations run the cluster's own file
+// methods, with the same gate admission, counters, and fault injection as
+// direct calls.
 func Local(c *Cluster) NodeTransport { return localTransport{c} }
 
-func (t localTransport) lookup(name string) (*file, error) {
-	t.c.mu.RLock()
-	defer t.c.mu.RUnlock()
-	f, ok := t.c.files[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", lake.ErrNoSuchFile, name)
-	}
-	return f, nil
+// serve resolves the named file on the backing cluster. The context it
+// returns drops the caller's trace: the front end in front of this
+// transport has already observed the access, and the backing cluster must
+// not count it a second time.
+func (t localTransport) serve(ctx context.Context, name string) (context.Context, *file, error) {
+	f, err := t.c.file(name)
+	return trace.WithIO(ctx, nil), f, err
 }
 
 func (t localTransport) CreateFile(_ context.Context, name string, kind Kind, partitions int, p lake.Partitioner) error {
@@ -85,7 +86,7 @@ func (t localTransport) DropFile(_ context.Context, name string) error {
 }
 
 func (t localTransport) Lookup(ctx context.Context, file string, partition int, key lake.Key) ([]lake.Record, error) {
-	f, err := t.lookup(file)
+	ctx, f, err := t.serve(ctx, file)
 	if err != nil {
 		return nil, err
 	}
@@ -93,7 +94,7 @@ func (t localTransport) Lookup(ctx context.Context, file string, partition int, 
 }
 
 func (t localTransport) LookupBatch(ctx context.Context, file string, partition int, keys []lake.Key) ([][]lake.Record, error) {
-	f, err := t.lookup(file)
+	ctx, f, err := t.serve(ctx, file)
 	if err != nil {
 		return nil, err
 	}
@@ -101,7 +102,7 @@ func (t localTransport) LookupBatch(ctx context.Context, file string, partition 
 }
 
 func (t localTransport) LookupRange(ctx context.Context, file string, partition int, lo, hi lake.Key) ([]lake.Record, error) {
-	f, err := t.lookup(file)
+	ctx, f, err := t.serve(ctx, file)
 	if err != nil {
 		return nil, err
 	}
@@ -109,7 +110,7 @@ func (t localTransport) LookupRange(ctx context.Context, file string, partition 
 }
 
 func (t localTransport) Scan(ctx context.Context, file string, partition int, fn func(lake.Record) error) error {
-	f, err := t.lookup(file)
+	ctx, f, err := t.serve(ctx, file)
 	if err != nil {
 		return err
 	}
@@ -117,69 +118,54 @@ func (t localTransport) Scan(ctx context.Context, file string, partition int, fn
 }
 
 func (t localTransport) Append(ctx context.Context, file string, partition int, recs []lake.Record) error {
-	f, err := t.lookup(file)
+	ctx, f, err := t.serve(ctx, file)
 	if err != nil {
 		return err
 	}
 	return f.Append(ctx, partition, recs...)
 }
 
-func (t localTransport) Stat(_ context.Context, file string, partition int) (int, int64, error) {
-	f, err := t.lookup(file)
+func (t localTransport) Stat(ctx context.Context, file string, partition int) (int, int64, error) {
+	f, err := t.c.file(file)
 	if err != nil {
 		return 0, 0, err
 	}
-	if partition < 0 || partition >= len(f.parts) {
-		return 0, 0, fmt.Errorf("%w: %q/%d", lake.ErrNoSuchPartition, file, partition)
+	owner, err := f.owner(partition)
+	if err != nil {
+		return 0, 0, err
 	}
-	p := f.parts[partition]
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.tree.Len(), p.bytes, nil
+	return owner.transport.Stat(ctx, file, partition)
 }
 
 func (t localTransport) Close() error { return nil }
 
 // NewClusterWithTransports builds a cluster whose node i delegates every
-// data operation to transports[i] — the front end of a real multi-process
-// data plane. The cluster keeps only catalog metadata locally; record data
-// lives behind the transports. CreateFile/DropFile broadcast to every
-// distinct transport so each node knows the full catalog.
+// operation to transports[i] — the front end of a real multi-process data
+// plane. The cluster keeps only catalog metadata locally; record data lives
+// behind the transports. CreateFile/DropFile broadcast to every distinct
+// transport so each node knows the full catalog.
 //
-// cfg.Nodes is ignored (the node count is len(transports)); cfg.Cost should
-// normally stay zero so the front end charges no simulated latency on top of
-// the transports' real round trips.
+// cfg is ignored: the node count is len(transports), and the front end
+// charges no simulated cost on top of the transports' own (Cost reports the
+// zero model).
 //
-// Remote-backed clusters differ from the sim in two documented ways: fault
-// injection (SetFault/SetTransientFault) is rejected — inject at the
-// transport layer instead (chaos.WrapTransport) — and ScanWithBarrier
-// degrades to barrier-then-scan, so exactly-once online structure builds
-// require the in-process transport.
-func NewClusterWithTransports(cfg Config, transports []NodeTransport) (*Cluster, error) {
+// Such a cluster has no sim nodes, so it rejects fault injection
+// (SetFault/SetTransientFault) and has no gates (NodeGate returns nil):
+// inject at the transport layer instead (chaos.WrapTransport). It also
+// lacks the lockingNode guarantees, so exactly-once online structure builds
+// require NewCluster.
+func NewClusterWithTransports(_ Config, transports []NodeTransport) (*Cluster, error) {
 	if len(transports) == 0 {
 		return nil, fmt.Errorf("dfs: NewClusterWithTransports needs at least one transport")
 	}
-	c := NewCluster(Config{Nodes: len(transports), Cost: cfg.Cost})
+	c := &Cluster{files: make(map[string]*file)}
 	for i, t := range transports {
 		if t == nil {
 			return nil, fmt.Errorf("dfs: transport %d is nil", i)
 		}
-		c.nodes[i].transport = t
+		c.nodes = append(c.nodes, &node{id: i, transport: t})
 	}
-	c.remote = true
 	return c, nil
-}
-
-// SetNodeTransport swaps node i's transport (nil restores the in-process sim
-// path). It exists so harnesses can interpose a proxying transport — e.g.
-// the chaos wrapper — around a live node between runs; it must not be called
-// while operations are in flight.
-func (c *Cluster) SetNodeTransport(i int, t NodeTransport) error {
-	if i < 0 || i >= len(c.nodes) {
-		return fmt.Errorf("dfs: no node %d", i)
-	}
-	c.nodes[i].transport = t
-	return nil
 }
 
 // distinctTransports lists the cluster's transports, deduplicated (several
@@ -188,67 +174,10 @@ func (c *Cluster) distinctTransports() []NodeTransport {
 	seen := make(map[NodeTransport]bool, len(c.nodes))
 	var out []NodeTransport
 	for _, n := range c.nodes {
-		if n.transport == nil || seen[n.transport] {
-			continue
+		if !seen[n.transport] {
+			seen[n.transport] = true
+			out = append(out, n.transport)
 		}
-		seen[n.transport] = true
-		out = append(out, n.transport)
 	}
 	return out
-}
-
-// remoteCreate broadcasts a CreateFile to every distinct transport, rolling
-// back the ones that succeeded if any fails.
-func (c *Cluster) remoteCreate(name string, kind Kind, partitions int, p lake.Partitioner) error {
-	ctx := context.Background()
-	ts := c.distinctTransports()
-	for i, t := range ts {
-		if err := t.CreateFile(ctx, name, kind, partitions, p); err != nil {
-			for _, done := range ts[:i] {
-				done.DropFile(ctx, name) //nolint:errcheck // best-effort rollback
-			}
-			return fmt.Errorf("dfs: remote create %q: %w", name, err)
-		}
-	}
-	return nil
-}
-
-// remoteDrop broadcasts a DropFile; drops are best-effort (the local catalog
-// is authoritative and a node that missed the drop only holds dead data).
-func (c *Cluster) remoteDrop(name string) {
-	ctx := context.Background()
-	for _, t := range c.distinctTransports() {
-		t.DropFile(ctx, name) //nolint:errcheck
-	}
-}
-
-// transportCall wraps one remote access with the same trace attribution the
-// sim path applies in admit: a local/remote observation on the calling
-// node's trace and, on success, the observed round-trip latency. Calls that
-// carry RPC trace context (executor dereferences) additionally land an
-// EvRPC interval on the job's timeline, so the critical-path extractor can
-// name wire-dominated segments as (stage, node, rpc).
-func transportCall(ctx context.Context, owner *node, call func() error) error {
-	remote := false
-	if caller := CallerNode(ctx); caller >= 0 && caller != owner.id {
-		remote = true
-		owner.counters.AddRemoteFetch()
-	}
-	io := trace.IOFrom(ctx)
-	if io != nil {
-		io.Observe(remote)
-	}
-	var t0 time.Time
-	if io != nil {
-		t0 = time.Now()
-	}
-	err := call()
-	if err == nil && io != nil {
-		d := time.Since(t0)
-		io.ObserveLatency(remote, d)
-		if rc := trace.RPCFrom(ctx); rc.Job != "" {
-			io.ObserveRPC(rc.Stage, t0, d)
-		}
-	}
-	return err
 }

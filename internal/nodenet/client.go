@@ -214,12 +214,23 @@ func idempotent(op byte) bool {
 // hedge delay: a second attempt starts on another pooled connection and the
 // first response wins; the loser's response is counted as a suppressed
 // duplicate and its connection returns to the pool untainted.
-func (c *Client) call(ctx context.Context, req *request) (*response, error) {
+func (c *Client) call(ctx context.Context, req *request) (_ *response, err error) {
 	// Forward the executor's RPC trace identity on the wire (flagCtx frame)
-	// so the node attributes its spans to the originating job. Untraced
-	// callers leave Ctx zero and the frame stays old-format byte-identical.
+	// so the node attributes its spans to the originating job, and land a
+	// successful call on the job's timeline as an EvRPC interval, so the
+	// critical-path extractor can name wire-dominated segments as (stage,
+	// node, rpc). Untraced callers leave Ctx zero and the frame stays
+	// old-format byte-identical.
 	if rc := trace.RPCFrom(ctx); rc.Job != "" {
 		req.Ctx = TraceContext{Job: rc.Job, Tenant: rc.Tenant, Stage: max(rc.Stage, 0), Attempt: max(rc.Attempt, 0)}
+		if io := trace.IOFrom(ctx); io != nil {
+			t0 := time.Now()
+			defer func() {
+				if err == nil {
+					io.ObserveRPC(rc.Stage, t0, time.Since(t0))
+				}
+			}()
+		}
 	}
 	delay := c.hedgeDelay()
 	if !idempotent(req.Op) || delay <= 0 {
@@ -338,30 +349,24 @@ func (c *Client) attempt(ctx context.Context, req *request) (_ *response, _ erro
 	if err != nil {
 		return nil, err, false // dial failures are transient
 	}
+	conn.SetDeadline(deadline) //nolint:errcheck
+	// A context cancelled mid-I/O yanks the deadline to now so the blocked
+	// read returns. If the watcher ran at all — even after the response
+	// arrived, as it does for a hedge loser whose job already finished —
+	// the conn's deadline may be poisoned, so it is discarded rather than
+	// pooled.
+	stopWatch := context.AfterFunc(ctx, func() {
+		conn.SetDeadline(time.Now()) //nolint:errcheck
+	})
 	healthy := false
 	defer func() {
-		if healthy {
+		if stopWatch() && healthy {
 			c.putIdle(conn)
 		} else {
 			conn.Close()
 			c.stats.connClosed()
 		}
 	}()
-
-	conn.SetDeadline(deadline) //nolint:errcheck
-	// A context cancelled mid-I/O yanks the deadline to now so the blocked
-	// read returns; the conn is then discarded as unhealthy.
-	stop := make(chan struct{})
-	if done := ctx.Done(); done != nil {
-		go func() {
-			select {
-			case <-done:
-				conn.SetDeadline(time.Now()) //nolint:errcheck
-			case <-stop:
-			}
-		}()
-	}
-	defer close(stop)
 
 	// Encode from a shallow copy: hedged attempts share *req concurrently,
 	// so the per-attempt id must not be written through the shared pointer.

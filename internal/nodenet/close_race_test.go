@@ -5,6 +5,8 @@ package nodenet
 
 import (
 	"context"
+	"encoding/binary"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -218,6 +220,82 @@ func TestDebugMetricsEndpoint(t *testing.T) {
 	for _, s := range spans {
 		if s.Op == "" || s.File == "" {
 			t.Fatalf("span missing op/file: %+v", s)
+		}
+	}
+}
+
+// replyCancelConn cancels a context the moment a whole response frame has
+// been read from it — the instant a hedge loser's reply lands just as its
+// job finishes — and records the deadline last set on it.
+type replyCancelConn struct {
+	net.Conn
+	cancel  func()
+	pending int // payload bytes still due in the current frame; -1 = header next
+
+	mu       sync.Mutex
+	deadline time.Time
+}
+
+func (c *replyCancelConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if c.pending < 0 && n == 4 {
+		c.pending = int(binary.BigEndian.Uint32(p))
+	} else if c.pending -= n; c.pending == 0 {
+		c.cancel()
+		c.pending = -1
+	}
+	return n, err
+}
+
+func (c *replyCancelConn) SetDeadline(t time.Time) error {
+	c.mu.Lock()
+	c.deadline = t
+	c.mu.Unlock()
+	return c.Conn.SetDeadline(t)
+}
+
+// TestCancelAfterReplyKeepsPoolHealthy: a context cancelled after its
+// call's reply was read must not reach the connection that call returns to
+// the pool. The context watcher used to be able to yank the deadline onto
+// an already-pooled connection, failing the next request on it with an i/o
+// timeout; now such a connection is discarded instead.
+func TestCancelAfterReplyKeepsPoolHealthy(t *testing.T) {
+	addr, cluster, _ := startNode(t)
+	ctx := context.Background()
+	if _, err := cluster.CreateFile("f", dfs.Heap, 1, lake.HashPartitioner{}); err != nil {
+		t.Fatal(err)
+	}
+	f, _ := cluster.File("f")
+	if err := f.Append(ctx, 0, lake.Record{Key: "k", Data: []byte("v")}); err != nil {
+		t.Fatal(err)
+	}
+	c := Dial(addr, Options{MaxConns: 1, HedgeAfter: -1}, nil)
+	defer c.Close()
+	for round := 0; round < 20; round++ {
+		raw, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cctx, cancel := context.WithCancel(ctx)
+		conn := &replyCancelConn{Conn: raw, cancel: cancel, pending: -1}
+		c.mu.Lock()
+		c.idle = append(c.idle, conn) // the next request takes it
+		c.mu.Unlock()
+		if _, err := c.Lookup(cctx, "f", 0, "k"); err != nil {
+			t.Fatalf("round %d: call whose reply arrived failed: %v", round, err)
+		}
+		time.Sleep(2 * time.Millisecond) // let a late watcher act
+		c.mu.Lock()
+		pooled := len(c.idle) == 1 && c.idle[0] == net.Conn(conn)
+		c.mu.Unlock()
+		conn.mu.Lock()
+		poisoned := pooled && !conn.deadline.IsZero()
+		conn.mu.Unlock()
+		if poisoned {
+			t.Fatalf("round %d: pooled connection carries a deadline after its context was cancelled", round)
+		}
+		if _, err := c.Lookup(ctx, "f", 0, "k"); err != nil {
+			t.Fatalf("round %d: fresh call on the pool failed: %v", round, err)
 		}
 	}
 }

@@ -108,17 +108,10 @@ func NewGate(model CostModel) *Gate {
 }
 
 // Lookup charges one random lookup, including the network round trip if
-// remote. It blocks for the modeled duration while holding a queue slot and
-// honors ctx cancellation.
+// remote: a batch of one. It blocks for the modeled duration while holding
+// a queue slot and honors ctx cancellation.
 func (g *Gate) Lookup(ctx context.Context, remote bool) error {
-	if g == nil {
-		return ctx.Err()
-	}
-	d := g.model.LookupLatency
-	if remote {
-		d += g.model.NetworkRTT
-	}
-	return g.occupy(ctx, d)
+	return g.LookupBatch(ctx, 1, remote)
 }
 
 // LookupBatch charges a batch of n point lookups served as ONE admitted
